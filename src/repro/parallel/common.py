@@ -42,13 +42,19 @@ def build_trees_parallel(
 ) -> Dict[int, NetTree]:
     """Step 1 in parallel: every rank builds its owned nets' trees, then an
     allgather gives everyone the full tree set (needed for fake-pin
-    placement and segment ownership)."""
-    # every rank scanned all pins (row partition) and all nets (the net
-    # partition heuristic) before getting here — replicated work
+    placement and segment ownership).
+
+    Modeled cost: the row and net partitions every rank computed before
+    getting here are charged as one replicated ``setup`` scan of all pins
+    and nets, and merging the gathered trees as one unit per tree.  The
+    charges are the paper's Amdahl term; they do not follow what those
+    steps cost on the host, where the partitions are single passes.
+    """
     comm.counter.add("setup", len(circuit.pins) + len(circuit.nets))
+    rank = comm.rank
     mine: Dict[int, NetTree] = {}
-    for net in circuit.nets:
-        if int(owner[net.id]) == comm.rank:
+    for net, net_owner in zip(circuit.nets, owner.tolist()):
+        if net_owner == rank:
             mine[net.id] = build_net_tree(
                 net.id,
                 circuit.net_points(net.id),

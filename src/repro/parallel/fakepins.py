@@ -23,14 +23,14 @@ every boundary below its bend.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.circuits.model import Circuit, PinKind
 from repro.circuits.validate import validate_circuit
 from repro.geometry import Segment
 from repro.parallel.partition import RowPartition
 from repro.perfmodel.counter import WorkCounter, NULL_COUNTER
-from repro.steiner.tree import NetTree, clip_tree_to_rows, tree_segments
+from repro.steiner.tree import NetTree, clip_segments, tree_segments
 
 
 def crossing_columns(tree: NetTree, boundary: int, select: str = "median") -> List[int]:
@@ -48,12 +48,19 @@ def crossing_columns(tree: NetTree, boundary: int, select: str = "median") -> Li
     ``select="all"`` returns every distinct crossing column (sorted), for
     analysis and tests.
     """
-    cols: Set[int] = set()
-    for seg in tree_segments(tree):
-        if seg.crosses_row_boundary(boundary):
-            bottom = seg.a if seg.a.row <= seg.b.row else seg.b
-            cols.add(bottom.x)
-    ordered = sorted(cols)
+    return segment_crossings(tree_segments(tree), boundary, select)
+
+
+def segment_crossings(
+    segments: Sequence[Segment], boundary: int, select: str = "median"
+) -> List[int]:
+    """:func:`crossing_columns` over a tree's :func:`tree_segments`.
+
+    Segments must be canonical (``a.row <= b.row``, as
+    :meth:`Segment.make` builds them), so ``a`` is the lower endpoint
+    whose column the vertical run takes.
+    """
+    ordered = sorted({s.a.x for s in segments if s.a.row < boundary <= s.b.row})
     if not ordered or select == "all":
         return ordered
     if select != "median":
@@ -106,10 +113,16 @@ def extract_block(
     passes through (in which case it exists purely as fake pins plus a
     vertical segment demanding feedthroughs).
 
-    This scan is *replicated* work — every rank walks the whole pin list
-    and every net's tree segments to find what falls in its block — so it
-    is charged to the work counter (kind ``"setup"``); it is one of the
-    Amdahl terms that keep the row-wise/hybrid speedups below linear.
+    Modeled cost: the paper's processors each walk the whole pin list and
+    every net's tree edges (two boundary scans and one clipping scan) to
+    find what falls in their block.  That replicated scan is charged to
+    the work counter per net (kind ``"setup"``) as one of the Amdahl terms
+    that keep the row-wise/hybrid speedups below linear, whatever the host
+    actually does.
+
+    Host cost: a net whose tree rows miss the block is skipped after its
+    pin check, and every other net's tree is cut into segments once for
+    both crossings and the clipping.
     """
     row_lo, row_hi = row_part.block_of(rank)
     block = LocalBlock(rank=rank, row_lo=row_lo, row_hi=row_hi)
@@ -120,34 +133,44 @@ def extract_block(
         local.add_row()
 
     # Cells of the block, preserving geometry.
+    cells = circuit.cells
     cell_g2l: Dict[int, int] = {}
     for row in range(row_lo, row_hi + 1):
         for gcid in circuit.rows[row].cells:
-            c = circuit.cells[gcid]
+            c = cells[gcid]
             cell_g2l[gcid] = local.add_cell(c.row, c.x, c.width, is_feed=c.is_feed).id
 
     lower_boundary = row_lo if row_lo > 0 else None
     upper_boundary = row_hi + 1 if row_hi + 1 < circuit.num_rows else None
 
+    charge = counter.add
+    pins = circuit.pins
     for net in circuit.nets:
         tree = trees.get(net.id)
-        counter.add("setup", 1 + len(net.pins))
+        charge("setup", 1 + len(net.pins))
         if tree is not None:
             # two boundary scans + one clipping scan over the tree edges
-            counter.add("setup", 3 * len(tree.edges))
-        local_pins: List[Tuple[int, int, int, bool]] = []  # (cell_l, offset, side, equiv)
+            charge("setup", 3 * len(tree.edges))
+        # (cell_l, offset, side, equiv)
+        local_pins: List[Tuple[int, int, int, bool]] = []
         for pid in net.pins:
-            p = circuit.pins[pid]
+            p = pins[pid]
             if row_lo <= p.row <= row_hi:
-                cell_l = cell_g2l[p.cell]
-                local_pins.append((cell_l, p.x - circuit.cells[p.cell].x, p.side, p.has_equiv))
+                local_pins.append(
+                    (cell_g2l[p.cell], p.x - cells[p.cell].x, p.side, p.has_equiv)
+                )
+        segments: List[Segment] = []
+        if tree is not None and tree.edges:
+            rows = [pt.row for pt in tree.points]
+            if min(rows) <= row_hi and max(rows) >= row_lo:
+                segments = tree_segments(tree)
         fake_positions: List[Tuple[int, int, int]] = []  # (x, row, side)
-        if tree is not None:
+        if segments:
             if lower_boundary is not None:
-                for x in crossing_columns(tree, lower_boundary):
+                for x in segment_crossings(segments, lower_boundary):
                     fake_positions.append((x, row_lo, -1))
             if upper_boundary is not None:
-                for x in crossing_columns(tree, upper_boundary):
+                for x in segment_crossings(segments, upper_boundary):
                     fake_positions.append((x, row_hi, +1))
         if not local_pins and not fake_positions:
             continue
@@ -167,10 +190,9 @@ def extract_block(
             )
             block.num_fake_pins += 1
 
-        if tree is not None:
-            for seg in clip_tree_to_rows(tree, row_lo, row_hi):
-                locked = (not seg.is_flat) and seg.row_span[0] == row_lo - 1
-                block.pool.append((lnet.id, seg, locked))
+        for seg in clip_segments(segments, row_lo, row_hi):
+            locked = (not seg.is_flat) and seg.a.row == row_lo - 1
+            block.pool.append((lnet.id, seg, locked))
 
     if validate:
         validate_circuit(local, allow_unbound_feeds=True)

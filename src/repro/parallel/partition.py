@@ -29,6 +29,7 @@ degrades gracefully to round-robin when sizes tie.
 from __future__ import annotations
 
 import bisect
+import heapq
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
@@ -99,11 +100,12 @@ class RowPartition:
         nrows = circuit.num_rows
         if not 1 <= nprocs <= nrows:
             raise ValueError(f"nprocs {nprocs} must be in [1, {nrows}]")
-        pins_per_row = np.zeros(nrows, dtype=np.int64)
+        pins_per_row = [0] * nrows
         for pin in circuit.pins:
-            if 0 <= pin.row < nrows:
-                pins_per_row[pin.row] += 1
-        total = int(pins_per_row.sum())
+            row = pin.row
+            if 0 <= row < nrows:
+                pins_per_row[row] += 1
+        total = sum(pins_per_row)
         bounds = [0]
         acc = 0
         next_row = 0
@@ -111,13 +113,20 @@ class RowPartition:
             target = total * k / nprocs
             row = next_row
             while row < nrows - (nprocs - k) and acc + pins_per_row[row] / 2 < target:
-                acc += int(pins_per_row[row])
+                acc += pins_per_row[row]
                 row += 1
             row = max(row, bounds[-1] + 1)  # at least one row per block
             bounds.append(row)
             next_row = row
         bounds.append(nrows)
         return cls(tuple(bounds))
+
+
+def _check_scheme(scheme: str, row_part: RowPartition | None) -> None:
+    if scheme not in NET_SCHEMES:
+        raise ValueError(f"unknown net scheme {scheme!r}; choose from {NET_SCHEMES}")
+    if scheme == "density" and row_part is None:
+        raise ValueError("density scheme needs a row partition")
 
 
 def net_weights(
@@ -127,32 +136,44 @@ def net_weights(
     alpha: float = 2.0,
 ) -> List[Tuple]:
     """Per-net sort keys for the chosen scheme (lower sorts earlier)."""
-    if scheme not in NET_SCHEMES:
-        raise ValueError(f"unknown net scheme {scheme!r}; choose from {NET_SCHEMES}")
+    _check_scheme(scheme, row_part)
+    degrees = [len(n.pins) for n in circuit.nets]
+    return _net_keys(circuit, scheme, row_part, alpha, degrees)
+
+
+def _net_keys(
+    circuit: Circuit,
+    scheme: str,
+    row_part: RowPartition | None,
+    alpha: float,
+    degrees: List[int],
+) -> List[Tuple]:
+    """:func:`net_weights` over precomputed per-net degrees."""
+    if scheme == "pin_weight":
+        return [
+            (-float(d) ** alpha, i) if d else (0.0, i) for i, d in enumerate(degrees)
+        ]
+    pins = circuit.pins
     keys: List[Tuple] = []
+    if scheme == "density":
+        bounds = row_part.bounds
+        nprocs = row_part.nprocs
     for net in circuit.nets:
-        pins = circuit.net_pins(net.id)
-        if not pins:
+        ids = net.pins
+        if not ids:
             keys.append((0.0, net.id))
             continue
+        rows = [pins[p].row for p in ids]
         if scheme == "center":
-            center_row = sum(p.row for p in pins) / len(pins)
-            keys.append((center_row, net.id))
+            keys.append((sum(rows) / len(rows), net.id))
         elif scheme == "locus":
-            xll = min(p.x for p in pins)
-            rll = min(p.row for p in pins)
-            keys.append((xll, rll, net.id))
-        elif scheme == "density":
-            if row_part is None:
-                raise ValueError("density scheme needs a row partition")
-            counts = np.zeros(row_part.nprocs, dtype=np.int64)
-            for p in pins:
-                counts[row_part.owner_of_row(p.row)] += 1
-            owner = int(np.argmax(counts))  # lowest rank wins ties
-            center_row = sum(p.row for p in pins) / len(pins)
-            keys.append((owner, center_row, net.id))
-        else:  # pin_weight
-            keys.append((-float(len(pins)) ** alpha, net.id))
+            keys.append((min(pins[p].x for p in ids), min(rows), net.id))
+        else:  # density
+            counts = [0] * nprocs
+            for row in rows:
+                counts[bisect.bisect_right(bounds, row) - 1] += 1
+            owner = counts.index(max(counts))  # lowest rank wins ties
+            keys.append((owner, sum(rows) / len(rows), net.id))
     return keys
 
 
@@ -166,35 +187,37 @@ def partition_nets(
     """``net id -> owning rank`` under the chosen heuristic."""
     if nprocs <= 0:
         raise ValueError("nprocs must be positive")
-    owner = np.zeros(len(circuit.nets), dtype=np.int64)
+    _check_scheme(scheme, row_part)
     if nprocs == 1 or not circuit.nets:
-        return owner
-    keys = net_weights(circuit, scheme, row_part=row_part, alpha=alpha)
-    order = sorted(range(len(keys)), key=lambda i: keys[i])
+        return np.zeros(len(circuit.nets), dtype=np.int64)
+    degrees = [len(n.pins) for n in circuit.nets]
+    keys = _net_keys(circuit, scheme, row_part, alpha, degrees)
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    owner = [0] * len(keys)
 
     if scheme == "pin_weight":
         # Largest nets first onto the least-loaded processor (LPT over the
         # modeled Steiner cost p^alpha) — the paper's round-robin spreading
-        # of large nets, made load-aware.
-        load = np.zeros(nprocs, dtype=np.float64)
+        # of large nets, made load-aware.  Heap entries ``(load, rank)``
+        # break load ties toward the lowest rank.
+        heap = [(0.0, k) for k in range(nprocs)]
         for net_id in order:
-            k = int(np.argmin(load))
+            load, k = heap[0]
             owner[net_id] = k
-            load[k] += float(circuit.nets[net_id].degree) ** alpha
-        return owner
+            heapq.heapreplace(heap, (load + float(degrees[net_id]) ** alpha, k))
+        return np.array(owner, dtype=np.int64)
 
     # Generic quota sweep: fill processors in sorted-weight order until
     # each holds the average pin count.
-    total_pins = sum(n.degree for n in circuit.nets)
-    target = total_pins / nprocs
+    target = sum(degrees) / nprocs
     proc = 0
     acc = 0
     for net_id in order:
         owner[net_id] = proc
-        acc += circuit.nets[net_id].degree
+        acc += degrees[net_id]
         if acc >= target * (proc + 1) and proc < nprocs - 1:
             proc += 1
-    return owner
+    return np.array(owner, dtype=np.int64)
 
 
 def partition_summary(circuit: Circuit, owner: np.ndarray, nprocs: int) -> Dict[str, object]:

@@ -318,7 +318,7 @@ def clip_tree_to_rows(
     having been materialized as fake pins).  Diagonal segments are split at
     block boundaries along their vertical extent, pinning the crossing at
     the segment's *lower endpoint column* — the same convention
-    :func:`repro.parallel.fakepins.crossing_points` uses, so fake pins and
+    :func:`repro.parallel.fakepins.crossing_columns` uses, so fake pins and
     clipped segments always agree.
 
     Cut endpoints are *phantoms* placed one row beyond the block: a wire
@@ -329,9 +329,22 @@ def clip_tree_to_rows(
     same feedthroughs the serial router would.  The coarse grid clips the
     phantom rows back to its own window.
     """
+    return clip_segments(tree_segments(tree), row_lo, row_hi)
+
+
+def clip_segments(
+    segments: Sequence[Segment], row_lo: int, row_hi: int
+) -> List[Segment]:
+    """:func:`clip_tree_to_rows` over a tree's :func:`tree_segments`.
+
+    Lets a caller that also needs the boundary crossings cut the tree into
+    segments once.  Segments must be canonical (``a.row <= b.row``), as
+    :meth:`Segment.make` builds them.
+    """
     out: List[Segment] = []
-    for seg in tree_segments(tree):
-        lo, hi = seg.row_span
+    for seg in segments:
+        bottom, top = seg.a, seg.b
+        lo, hi = bottom.row, top.row
         if hi < row_lo or lo > row_hi:
             continue
         if lo >= row_lo and hi <= row_hi:
@@ -339,10 +352,9 @@ def clip_tree_to_rows(
             continue
         # The segment sticks out of the block: clip its vertical extent.
         # The vertical run is at the lower endpoint's column by convention.
-        bottom, top = (seg.a, seg.b) if seg.a.row <= seg.b.row else (seg.b, seg.a)
         run_x = bottom.x
-        p_low = bottom if bottom.row >= row_lo else Point(run_x, row_lo - 1)
-        p_high = top if top.row <= row_hi else Point(run_x, row_hi + 1)
+        p_low = bottom if lo >= row_lo else Point(run_x, row_lo - 1)
+        p_high = top if hi <= row_hi else Point(run_x, row_hi + 1)
         if p_low == p_high:
             continue
         out.append(Segment.make(p_low, p_high))

@@ -2,6 +2,7 @@ import pytest
 
 from repro.circuits import mcnc
 from repro.circuits.model import CircuitStats
+from repro.mpi.runtime import RankError
 from repro.parallel import ParallelConfig, route_parallel, serial_baseline
 from repro.perfmodel import INTEL_PARAGON, SPARCCENTER_1000
 from repro.twgr import RouterConfig
@@ -52,6 +53,17 @@ def test_run_bundle_fields(circuit, config, baseline):
 def test_unknown_algorithm(circuit, config):
     with pytest.raises(ValueError, match="unknown algorithm"):
         route_parallel(circuit, "bogus", nprocs=2, config=config)
+
+
+@pytest.mark.parametrize("algorithm", ["rowwise", "netwise", "hybrid"])
+def test_bad_net_scheme_rejected_on_one_rank(circuit, config, algorithm):
+    """A single rank takes the partition's trivial path, which must still
+    reject a scheme the partition does not know."""
+    with pytest.raises(RankError, match="unknown net scheme"):
+        route_parallel(
+            circuit, algorithm, nprocs=1, config=config,
+            pconfig=ParallelConfig(net_scheme="bogus"), compute_baseline=False,
+        )
 
 
 def test_bad_nprocs(circuit, config):
