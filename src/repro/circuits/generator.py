@@ -11,10 +11,16 @@ Those statistics are what the routing algorithms are sensitive to: net
 degree drives Steiner-tree work (and hence the pin-number-weight partition
 of paper §5), locality drives channel congestion and the fake-pin count of
 the row-wise algorithm, and row count bounds usable parallelism.
+
+Contract: the order and arguments of the ``rng`` draws *are* a circuit's
+identity.  The plain-Python code around them may change; the draws change
+only together with the golden routes and ``perfbench/expected.json``.
+``tests/circuits/test_generator_identity.py`` pins them.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import List, Sequence
 
@@ -97,93 +103,86 @@ class SyntheticSpec:
 def generate_circuit(spec: SyntheticSpec, seed: int = 0, validate: bool = True) -> Circuit:
     """Generate a circuit from ``spec`` deterministically for a given seed."""
     rng = np.random.default_rng(seed)
+    integers, uniform, normal = rng.integers, rng.uniform, rng.normal
     circuit = Circuit(spec.name)
 
     # --- place cells: spread evenly over rows, pack left to right -------
+    # Each row keeps its cell centres and ids in x order (rows are packed
+    # left to right, so placement order is x order) for nearest_cell.
     per_row = _split_evenly(spec.cells, spec.rows, rng)
-    widths = rng.integers(spec.min_cell_width, spec.max_cell_width + 1, size=spec.cells)
-    cell_ids: List[int] = []
+    widths = integers(spec.min_cell_width, spec.max_cell_width + 1, size=spec.cells).tolist()
+    row_centers: List[List[float]] = []
+    row_ids: List[List[int]] = []
+    add_cell = circuit.add_cell
     w_idx = 0
     for r in range(spec.rows):
         circuit.add_row()
     for r, count in enumerate(per_row):
+        centers: List[float] = []
+        ids: List[int] = []
         x = 0
-        for _ in range(count):
-            w = int(widths[w_idx])
-            w_idx += 1
-            cell_ids.append(circuit.add_cell(r, x, w).id)
+        for w in widths[w_idx:w_idx + count]:
+            ids.append(add_cell(r, x, w).id)
+            centers.append(x + w / 2)
             x += w
+        w_idx += count
+        row_centers.append(centers)
+        row_ids.append(ids)
     core_width = circuit.max_row_width()
 
-    # Cell centers for locality-driven sampling.
-    centers_x = np.array([circuit.cells[c].x + circuit.cells[c].width / 2 for c in cell_ids])
-    centers_row = np.array([circuit.cells[c].row for c in cell_ids])
-    order = np.lexsort((centers_x, centers_row))
-    # index arrays sorted by (row, x) to find nearest cells quickly
-    sorted_rows = centers_row[order]
-    sorted_x = centers_x[order]
-    row_starts = np.searchsorted(sorted_rows, np.arange(spec.rows), side="left")
-    row_ends = np.searchsorted(sorted_rows, np.arange(spec.rows), side="right")
-
     def nearest_cell(x: float, row: int) -> int:
-        """Cell in ``row`` whose center is closest to ``x``."""
-        lo, hi = row_starts[row], row_ends[row]
-        if lo == hi:  # empty row: walk outward
-            for d in range(1, spec.rows):
-                for rr in (row - d, row + d):
-                    if 0 <= rr < spec.rows and row_starts[rr] != row_ends[rr]:
-                        return nearest_cell(x, rr)
-            raise RuntimeError("no cells placed")
-        i = np.searchsorted(sorted_x[lo:hi], x) + lo
-        cands = [j for j in (i - 1, i) if lo <= j < hi]
-        best = min(cands, key=lambda j: abs(sorted_x[j] - x))
-        return cell_ids[order[best]]
+        """Cell in ``row`` whose center is closest to ``x`` (ties go left).
+
+        Every row holds a cell: ``SyntheticSpec`` demands ``cells >= rows``
+        and ``_split_evenly`` keeps each row at one cell or more.
+        """
+        centers = row_centers[row]
+        i = bisect_left(centers, x)
+        if i == len(centers) or (i and x - centers[i - 1] <= centers[i] - x):
+            i -= 1
+        return row_ids[row][i]
 
     # --- regular nets ----------------------------------------------------
     n_regular = spec.nets - len(spec.clock_net_degrees)
     if n_regular < 0:
         raise ValueError("more clock nets than total nets")
     extra = np.clip(rng.geometric(1.0 / max(spec.mean_degree - 1.0, 1e-9), size=n_regular) - 1, 0, 64)
-    degrees = 2 + extra
-    is_global = rng.random(n_regular) < spec.global_net_fraction
+    degrees = (2 + extra).tolist()
+    is_global = (rng.random(n_regular) < spec.global_net_fraction).tolist()
     row_sigma = max(0.3, spec.row_locality)
     x_sigma = max(2.0, spec.x_locality * core_width)
+    top_row = spec.rows - 1
+    x_max = core_width - 1
+    add_net = circuit.add_net
 
-    for i in range(n_regular):
-        deg = int(degrees[i])
-        net = circuit.add_net()
+    for deg, glob in zip(degrees, is_global):
+        net = add_net()
         chosen: set[int] = set()
-        if is_global[i]:
-            anchor_row = None
-        else:
-            anchor_row = int(rng.integers(0, spec.rows))
-            anchor_x = float(rng.uniform(0, core_width))
+        if not glob:
+            anchor_row = int(integers(0, spec.rows))
+            anchor_x = uniform(0, core_width)
         attempts = 0
         while len(chosen) < deg and attempts < deg * 20:
             attempts += 1
-            if anchor_row is None:
-                row = int(rng.integers(0, spec.rows))
-                x = float(rng.uniform(0, core_width))
+            if glob:
+                row = int(integers(0, spec.rows))
+                x = uniform(0, core_width)
             else:
-                row = int(np.clip(round(anchor_row + rng.normal(0, row_sigma)), 0, spec.rows - 1))
-                x = float(np.clip(anchor_x + rng.normal(0, x_sigma), 0, core_width - 1))
+                row = round(anchor_row + normal(0, row_sigma))
+                row = 0 if row < 0 else top_row if row > top_row else row
+                x = anchor_x + normal(0, x_sigma)
+                x = 0.0 if x < 0 else x_max if x > x_max else x
             chosen.add(nearest_cell(x, row))
         if len(chosen) < 2:
-            # degenerate corner (tiny circuit): grab any second cell
-            for cid in cell_ids:
-                if cid not in chosen:
-                    chosen.add(cid)
-                    break
-        _attach_pins(circuit, net.id, sorted(chosen), rng, spec.equiv_prob)
+            # degenerate corner (tiny circuit): add the lowest-id other cell
+            chosen.add(0 if 0 not in chosen else 1)
+        _attach_pins(circuit, net.id, sorted(chosen), widths, rng, spec.equiv_prob)
 
     # --- clock-like huge nets --------------------------------------------
     for k, deg in enumerate(spec.clock_net_degrees):
-        net = circuit.add_net(f"clk{k}")
-        deg = min(deg, len(cell_ids))
-        chosen_idx = rng.choice(len(cell_ids), size=deg, replace=False)
-        _attach_pins(
-            circuit, net.id, sorted(cell_ids[int(j)] for j in chosen_idx), rng, spec.equiv_prob
-        )
+        net = add_net(f"clk{k}")
+        chosen_idx = rng.choice(spec.cells, size=min(deg, spec.cells), replace=False)
+        _attach_pins(circuit, net.id, sorted(chosen_idx.tolist()), widths, rng, spec.equiv_prob)
 
     if validate:
         validate_circuit(circuit)
@@ -194,20 +193,20 @@ def _attach_pins(
     circuit: Circuit,
     net_id: int,
     cells: Sequence[int],
+    widths: Sequence[int],
     rng: np.random.Generator,
     equiv_prob: float,
 ) -> None:
+    integers, random, add_pin = rng.integers, rng.random, circuit.add_pin
     for cid in cells:
-        cell = circuit.cells[cid]
-        offset = int(rng.integers(0, cell.width))
-        side = 1 if rng.random() < 0.5 else -1
-        has_equiv = bool(rng.random() < equiv_prob)
-        circuit.add_pin(
+        offset = int(integers(0, widths[cid]))
+        side = 1 if random() < 0.5 else -1
+        add_pin(
             net=net_id,
             cell=cid,
             offset=offset,
             side=side,
-            has_equiv=has_equiv,
+            has_equiv=bool(random() < equiv_prob),
             kind=PinKind.CELL,
         )
 

@@ -11,6 +11,9 @@ so circuits can be saved, inspected, diffed and reloaded::
 
 Cells must appear before the pins that reference them; ``pin`` lines carry
 absolute coordinates so files round-trip even after feedthrough insertion.
+Fields are whitespace-separated, so a circuit or net name must be one
+non-empty token: :func:`save_circuit` rejects any other name rather than
+write a file that would load back with the name cut short.
 """
 
 from __future__ import annotations
@@ -24,12 +27,29 @@ from repro.circuits.validate import validate_circuit
 
 
 def save_circuit(circuit: Circuit, target: Union[str, Path, TextIO]) -> None:
-    """Write a circuit to a path or text file object."""
+    """Write a circuit to a path or text file object.
+
+    Raises ``ValueError`` (before writing anything) when the circuit's
+    name or a net's name is empty or contains whitespace.
+    """
+    _check_names(circuit)
     if isinstance(target, (str, Path)):
         with open(target, "w", encoding="utf-8") as fh:
             _write(circuit, fh)
     else:
         _write(circuit, target)
+
+
+def _check_names(circuit: Circuit) -> None:
+    if circuit.name.split() != [circuit.name]:
+        raise ValueError(
+            f"circuit name {circuit.name!r} must be one token without whitespace"
+        )
+    for net in circuit.nets:
+        if net.name.split() != [net.name]:
+            raise ValueError(
+                f"net {net.id} name {net.name!r} must be one token without whitespace"
+            )
 
 
 def _write(circuit: Circuit, fh: TextIO) -> None:
@@ -109,9 +129,9 @@ def _read(fh: TextIO, validate: bool) -> Circuit:
 
 
 def dumps(circuit: Circuit) -> str:
-    """Serialize to a string."""
+    """Serialize to a string (same name rules as :func:`save_circuit`)."""
     buf = io.StringIO()
-    _write(circuit, buf)
+    save_circuit(circuit, buf)
     return buf.getvalue()
 
 

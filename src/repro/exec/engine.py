@@ -206,11 +206,20 @@ def _execute(point: SweepPoint, baseline: Optional[RoutingResult]) -> RunRecord:
     so all records carry a :class:`~repro.obs.profile.RunProfile` and
     cached replays keep their telemetry.  Tracing is passive (see
     :mod:`repro.obs`): routed metrics are bit-identical with or without it.
+
+    Circuit generation is timed apart from the route into the
+    ``engine.generate_ms`` histogram of the process that runs the point
+    (so a pool worker's observations stay in that worker, like every
+    worker-side metric).  It stays out of ``host_seconds`` and the
+    profile, so cached payloads are byte-stable.
     """
+    from repro.obs.metrics import REGISTRY
     from repro.obs.profile import profile_from_tracer
     from repro.obs.tracer import Tracer
 
+    t_gen = time.perf_counter()
     circuit = mcnc.generate(point.circuit, scale=point.scale, seed=point.circuit_seed)
+    REGISTRY.histogram("engine.generate_ms").observe((time.perf_counter() - t_gen) * 1e3)
     machine = MACHINES[point.machine]
     tracer = Tracer()
     t0 = time.perf_counter()

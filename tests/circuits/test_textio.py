@@ -1,8 +1,9 @@
 import io
+import re
 
 import pytest
 
-from repro.circuits import PinKind, load_circuit, save_circuit
+from repro.circuits import CircuitBuilder, PinKind, load_circuit, save_circuit
 from repro.circuits.textio import dumps, loads
 from repro.circuits.validate import validate_circuit
 
@@ -65,3 +66,39 @@ def test_bad_record_raises():
 def test_non_dense_ids_raise():
     with pytest.raises(ValueError, match="dense"):
         loads("circuit x\nrows 1\ncell 5 0 0 4\n")
+
+
+def _named_circuit(circuit_name, net_name):
+    b = CircuitBuilder(rows=2, name=circuit_name)
+    a, c = b.cell(row=0, width=4), b.cell(row=1, width=4)
+    b.net(net_name, [(a, 1), (c, 2)])
+    return b.build()
+
+
+@pytest.mark.parametrize(
+    "circuit_name,net_name,culprit",
+    [
+        ("my chip", "clk", "circuit name 'my chip'"),
+        ("chip", "clk main", "net 0 name 'clk main'"),
+        ("chip", "clk\tmain", "net 0 name 'clk\\tmain'"),
+        ("", "clk", "circuit name ''"),
+    ],
+)
+def test_whitespace_names_are_rejected_not_truncated(
+    tmp_path, circuit_name, net_name, culprit
+):
+    # the format splits fields on whitespace: "my chip" used to load back
+    # as "my" and "clk main" as "clk", silently
+    c = _named_circuit(circuit_name, net_name)
+    with pytest.raises(ValueError, match=re.escape(culprit)):
+        dumps(c)
+    path = tmp_path / "c.txt"
+    with pytest.raises(ValueError, match=re.escape(culprit)):
+        save_circuit(c, path)
+    assert not path.exists()
+
+
+def test_single_token_names_round_trip():
+    back = loads(dumps(_named_circuit("my_chip", "clk.main[0]")))
+    assert back.name == "my_chip"
+    assert back.nets[0].name == "clk.main[0]"

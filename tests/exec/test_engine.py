@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.circuits import mcnc
@@ -338,3 +340,18 @@ def test_benign_fault_plan_executes_and_is_observed():
     # fresh executions observe per-point host latency into the registry
     snap = REGISTRY.snapshot()
     assert snap["histograms"]["engine.point_host_ms"]["count"] == 2
+
+
+def test_fresh_point_observes_generation_once(tmp_path):
+    from repro.obs.metrics import REGISTRY
+
+    REGISTRY.reset()
+    cache = RunCache(tmp_path / "cache")
+    fresh = execute_point(POINT.baseline_point(), cache=cache)
+    hist = REGISTRY.snapshot()["histograms"]["engine.generate_ms"]
+    assert hist["count"] == 1 and hist["total"] > 0
+    # the timing never enters the cached payload, and a replay generates
+    # nothing
+    assert "generate" not in json.dumps(fresh.to_dict())
+    assert execute_point(POINT.baseline_point(), cache=cache).cached
+    assert REGISTRY.snapshot()["histograms"]["engine.generate_ms"]["count"] == 1
