@@ -61,18 +61,25 @@ def max_overlap(intervals: Iterable[Interval]) -> int:
     This is exactly the *channel density*, i.e. the minimum track count of
     a channel containing the given wire spans.
     """
+    return max_overlap_ranges((iv.lo, iv.hi) for iv in intervals)
+
+
+def max_overlap_ranges(ranges: Iterable[Tuple[int, int]]) -> int:
+    """:func:`max_overlap` from bare ``(lo, hi)`` bounds, ``lo <= hi`` —
+    no :class:`Interval` allocation."""
     events: List[Tuple[int, int]] = []
-    for iv in intervals:
-        if iv.empty:
+    append = events.append
+    for lo, hi in ranges:
+        if lo == hi:
             continue
-        events.append((iv.lo, 1))
-        events.append((iv.hi, -1))
+        append((lo, 1))
+        append((hi, -1))
     if not events:
         return 0
     # Process closings before openings at the same coordinate: the
     # intervals are half-open, so a span ending where another begins does
-    # not overlap it.
-    events.sort(key=lambda e: (e[0], e[1]))
+    # not overlap it.  Plain tuple order is exactly (coordinate, delta).
+    events.sort()
     depth = best = 0
     for _, delta in events:
         depth += delta

@@ -52,6 +52,13 @@ class ChannelSpan:
                 f"switchable span channel {self.channel} not adjacent to row {self.row}"
             )
 
+    def __reduce__(self):
+        # the six constructor fields; the cached interval is not shipped
+        return (
+            ChannelSpan,
+            (self.net, self.channel, self.lo, self.hi, self.switchable, self.row),
+        )
+
     @property
     def interval(self) -> Interval:
         """The span's column interval."""

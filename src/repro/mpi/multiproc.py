@@ -40,9 +40,14 @@ Semantics parity with :func:`~repro.mpi.runtime.run_inprocess`:
   transport (child-process metrics counters are the one loss: they live
   in the child's registry and are not merged).
 
-Outbound sends go through a per-rank sender thread with an unbounded
-queue, so a full pipe buffer can never deadlock two ranks that are both
-mid-send (the classic eager-protocol cycle); the main thread keeps
+Payloads are pickled on the rank's own thread, inside the sending
+call, so an unpicklable payload raises there (``TypeError`` from
+``comm.send``) and the containment report names the sending rank.  The
+pickled bytes then go through a per-rank sender thread with an
+unbounded queue; that thread only writes bytes, which releases the GIL,
+so it never competes with the rank's compute for the interpreter.  It
+exists so that a full pipe buffer can never deadlock two ranks that are
+both mid-send (the classic eager-protocol cycle); the main thread keeps
 draining its inbound pipes whenever it blocks in ``collect``.
 """
 
@@ -54,6 +59,7 @@ import threading
 import time
 from collections import deque
 from multiprocessing.connection import Connection, wait as _conn_wait
+from multiprocessing.reduction import ForkingPickler
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.faults.plan import FaultPlan, InjectedFault, NULL_FAULT_PLAN
@@ -71,6 +77,11 @@ _PARENT_GRACE_S = 60.0
 _SENDER_FLUSH_S = 10.0
 
 
+#: pickles a message for a pipe exactly as ``Connection.send`` would, so
+#: the receiving ``Connection.recv`` is unchanged
+_dumps = ForkingPickler.dumps
+
+
 def _pick_context() -> mp.context.BaseContext:
     # fork is strongly preferred: no re-import, closures and fault plans
     # travel for free, and startup is milliseconds not seconds.  spawn
@@ -80,35 +91,36 @@ def _pick_context() -> mp.context.BaseContext:
 
 
 class _Sender(threading.Thread):
-    """Flushes outbound messages so pipe backpressure cannot deadlock.
+    """Flushes pickled messages so pipe backpressure cannot deadlock.
 
-    ``Connection.send`` blocks once the pipe buffer fills; if two ranks
-    block sending to each other neither ever drains, which is exactly
-    the cyclic-buffer deadlock MPI's rendezvous protocol exists to
-    avoid.  Queueing sends through one thread keeps the rank's main
-    thread free to drain its own inbound pipes, so the cycle cannot
-    close.
+    A pipe write blocks once the pipe buffer fills; if two ranks block
+    sending to each other neither ever drains, which is exactly the
+    cyclic-buffer deadlock MPI's rendezvous protocol exists to avoid.
+    Queueing writes through one thread keeps the rank's main thread free
+    to drain its own inbound pipes, so the cycle cannot close.  Payloads
+    arrive already pickled (see :func:`_dumps`): this thread only writes
+    bytes.
     """
 
     def __init__(self, rank: int, writers: Dict[int, Connection]) -> None:
         super().__init__(name=f"spmd-sender-{rank}", daemon=True)
-        self._q: "queue.Queue[Optional[Tuple[int, Any]]]" = queue.Queue()
+        self._q: "queue.Queue[Optional[Tuple[int, memoryview]]]" = queue.Queue()
         self._writers = writers
 
-    def post(self, dest: int, payload: Any) -> None:
-        self._q.put((dest, payload))
+    def post(self, dest: int, data: memoryview) -> None:
+        self._q.put((dest, data))
 
     def run(self) -> None:
         while True:
             item = self._q.get()
             if item is None:
                 return
-            dest, payload = item
+            dest, data = item
             conn = self._writers.get(dest)
             if conn is None:
                 continue
             try:
-                conn.send(payload)
+                conn.send_bytes(data)
             except (BrokenPipeError, OSError):
                 # peer is gone; its death is reported through the abort
                 # / EOF paths, not by crashing the sender
@@ -263,7 +275,12 @@ class _PipeRouter:
         if dest == self._rank:
             self._ingest(src, tag, obj, timestamp, nbytes, hold)
         else:
-            self._sender.post(dest, ("m", src, tag, obj, timestamp, nbytes, hold))
+            # pickled here, not on the sender thread: the GIL-bound work
+            # stays on the rank, and an unpicklable payload raises from
+            # the sending call
+            self._sender.post(
+                dest, _dumps(("m", src, tag, obj, timestamp, nbytes, hold))
+            )
 
     def collect(
         self, dest: int, src: int, tag: int
@@ -342,7 +359,7 @@ class _PipeRouter:
     def broadcast_abort(self, origin: int, errinfo: Dict[str, Any]) -> None:
         for dest in range(self._nprocs):
             if dest != self._rank:
-                self._sender.post(dest, ("a", origin, errinfo))
+                self._sender.post(dest, _dumps(("a", origin, errinfo)))
 
     def shutdown(self) -> None:
         self._sender.stop()

@@ -15,8 +15,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.circuits.model import Circuit, Pin, PinKind
-from repro.geometry import Interval, max_overlap
-from repro.grid.channels import ChannelSpan
+from repro.geometry import max_overlap_ranges
+from repro.grid.channels import ChannelSpan, spans_by_channel
 from repro.mpi.comm import Communicator, MAX, SUM
 from repro.parallel.partition import RowPartition
 from repro.steiner.tree import NetTree, build_net_tree
@@ -158,20 +158,25 @@ def finalize_block_result(
     rank, P = comm.rank, comm.size
     lo_ch = row_part.bounds[rank]
     hi_ch = row_part.bounds[rank + 1]
+    # one pass over the spans; each channel's group keeps span order
+    by_channel = spans_by_channel(spans)
 
     from_below: List[Tuple[int, int]] = []
     if rank < P - 1:
-        comm.send(spans_intervals_in(spans, hi_ch), rank + 1, tag=TAG_BOUNDARY_FINAL)
+        comm.send(
+            [(s.lo, s.hi) for s in by_channel.get(hi_ch, ())],
+            rank + 1, tag=TAG_BOUNDARY_FINAL,
+        )
     if rank > 0:
         from_below = comm.recv(rank - 1, tag=TAG_BOUNDARY_FINAL)
 
     mine = owned_channels(row_part, rank)
     densities: Dict[int, int] = {}
     for ch in mine:
-        ivs = [Interval(lo, hi) for lo, hi in spans_intervals_in(spans, ch)]
+        ivs = [(s.lo, s.hi) for s in by_channel.get(ch, ())]
         if ch == lo_ch and rank > 0:
-            ivs.extend(Interval(lo, hi) for lo, hi in from_below)
-        densities[ch] = max_overlap(ivs)
+            ivs.extend(from_below)
+        densities[ch] = max_overlap_ranges(ivs)
         comm.counter.add("metrics", len(ivs) + 1)
 
     # A span shipped upward for density purposes is still uniquely held in

@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.circuits.model import FEED_WIDTH, Circuit
-from repro.geometry import Interval, max_overlap
+from repro.geometry import max_overlap_ranges
 from repro.grid.channels import ChannelSpan, build_state
 from repro.grid.coarse import CoarseGrid
 from repro.mpi.comm import Communicator, MAX, SUM
@@ -251,12 +251,12 @@ def netwise_program(
     if rank != 0:
         return None
 
-    merged_ivs: Dict[int, List[Interval]] = {}
+    merged_ivs: Dict[int, List[Tuple[int, int]]] = {}
     for part in all_intervals:
         for ch, ivs in part.items():
-            merged_ivs.setdefault(ch, []).extend(Interval(lo, hi) for lo, hi in ivs)
+            merged_ivs.setdefault(ch, []).extend(ivs)
     channel_tracks = {
-        ch: max_overlap(ivs) for ch, ivs in sorted(merged_ivs.items())
+        ch: max_overlap_ranges(ivs) for ch, ivs in sorted(merged_ivs.items())
     }
     for ch in range(circuit.num_rows + 1):
         channel_tracks.setdefault(ch, 0)

@@ -16,6 +16,7 @@ segment is later bent into one of two L shapes by the coarse router
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Dict, List, Sequence, Set, Tuple
 
 import numpy as np
@@ -38,6 +39,20 @@ class NetTree:
     points: List[Point]
     edges: List[Tuple[int, int]]
     num_terminals: int
+
+    def __reduce__(self):
+        # Flat wire form for the trees the parallel routers exchange: two
+        # int lists pickle in C, while the generic slotted-dataclass
+        # reduce would make one Python-level namedtuple reduce per point.
+        return (
+            _tree_from_wire,
+            (
+                self.net,
+                list(chain.from_iterable(self.points)),
+                list(chain.from_iterable(self.edges)),
+                self.num_terminals,
+            ),
+        )
 
     def length(self, row_pitch: int = 1) -> int:
         """Total Manhattan length of the tree's edges."""
@@ -79,6 +94,16 @@ class NetTree:
                     seen.add(w)
                     stack.append(w)
         return len(seen) == n
+
+
+def _tree_from_wire(
+    net: int, xy: List[int], ends: List[int], num_terminals: int
+) -> NetTree:
+    """Rebuild a :class:`NetTree` from its :meth:`NetTree.__reduce__` form."""
+    it = iter(xy)
+    points = list(map(tuple.__new__, repeat(Point), zip(it, it)))
+    it = iter(ends)
+    return NetTree(net, points, list(zip(it, it)), num_terminals)
 
 
 def build_net_tree(

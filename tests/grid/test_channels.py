@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 
 from repro.grid import ChannelSpan, ChannelState
@@ -140,3 +142,20 @@ def test_build_state_and_grouping():
     assert st.density(1) == 2
     groups = spans_by_channel(spans)
     assert len(groups[1]) == 2 and len(groups[3]) == 1
+
+
+@pytest.mark.parametrize(
+    "span",
+    [ChannelSpan(4, 2, 9, 3), ChannelSpan(5, 3, 1, 7, switchable=True, row=2)],
+)
+def test_span_wire_round_trip_skips_cached_interval(span):
+    assert span.interval.lo == span.lo  # populate the lazy cache
+    data = pickle.dumps(span, protocol=pickle.HIGHEST_PROTOCOL)
+    assert b"Interval" not in data
+    back = pickle.loads(data)
+    assert back == span
+    assert (back.net, back.channel, back.lo, back.hi, back.switchable, back.row) == (
+        span.net, span.channel, span.lo, span.hi, span.switchable, span.row
+    )
+    assert back._interval is None
+    assert back.interval == span.interval

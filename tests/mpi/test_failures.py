@@ -1,5 +1,7 @@
 """Failure injection: the runtime must fail loudly, never hang."""
 
+import threading
+
 import pytest
 
 from repro.mpi import RankError, run_spmd
@@ -138,3 +140,36 @@ def test_abort_mid_collective_carries_containment_report(op, nprocs):
     assert report.failed_rank == crasher
     assert report.crashed_ranks == [crasher]
     assert sorted(report.aborted_ranks) == [r for r in range(nprocs) if r != crasher]
+
+
+# ---------------------------------------------------------------------------
+# an unpicklable payload on the multiprocess transport is the sender's
+# error, raised from its send call — not a dead sender thread that leaves
+# the receiver to time out on a rank that reported success
+# ---------------------------------------------------------------------------
+
+def _unpicklable_send_program(comm):
+    if comm.rank == 0:
+        comm.send(threading.Lock(), 1, tag=3)
+    else:
+        comm.recv(0, tag=3)
+    return comm.rank
+
+
+def test_unpicklable_payload_blames_sending_rank(capfd):
+    with pytest.raises(RankError) as exc:
+        run_spmd(
+            2, _unpicklable_send_program, transport="multiprocess",
+            deadlock_timeout=30.0,
+        )
+    assert exc.value.rank == 0
+    report = exc.value.report
+    assert report is not None
+    assert report.failed_rank == 0
+    assert report.error_type == "TypeError"
+    assert "pickle" in report.message
+    assert report.crashed_ranks == [0]
+    assert report.aborted_ranks == [1]
+    err = capfd.readouterr().err
+    assert "Exception in thread" not in err
+    assert "Traceback" not in err

@@ -16,6 +16,7 @@ import pytest
 from repro.circuits import mcnc
 from repro.faults import make_plan
 from repro.mpi.runtime import RankError, run_spmd
+from repro.mpi.trace import TraceRecorder
 from repro.mpi.transports import (
     DEFAULT_TRANSPORT,
     TRANSPORT_ENV,
@@ -129,12 +130,13 @@ def test_point_to_point_parity(nprocs):
 def test_routing_parity_across_transports(algorithm):
     circuit = mcnc.generate("primary1", scale=0.1, seed=1)
     config = RouterConfig(seed=1)
+    traces = {t: TraceRecorder() for t in ("inprocess", "multiprocess")}
     runs = {
         transport: route_parallel(
             circuit, algorithm=algorithm, nprocs=2, config=config,
-            compute_baseline=False, transport=transport,
+            compute_baseline=False, transport=transport, trace=trace,
         )
-        for transport in ("inprocess", "multiprocess")
+        for transport, trace in traces.items()
     }
     ref, out = runs["inprocess"], runs["multiprocess"]
     assert out.result.total_tracks == ref.result.total_tracks
@@ -144,6 +146,12 @@ def test_routing_parity_across_transports(algorithm):
     # the modeled logical clocks must agree exactly, transport or not
     assert out.result.model_time == ref.result.model_time
     assert out.timing.rank_times == ref.timing.rank_times
+    # ... and so must the model underneath: work charges, messages, bytes
+    assert out.result.work_units == ref.result.work_units
+    ref_events, out_events = traces["inprocess"].events, traces["multiprocess"].events
+    assert len(ref_events) > 0
+    assert len(out_events) == len(ref_events)
+    assert sum(e.nbytes for e in out_events) == sum(e.nbytes for e in ref_events)
 
 
 def test_multiprocess_records_measured_times():

@@ -1,7 +1,11 @@
+import pickle
+
 import numpy as np
 import pytest
 
+from repro.circuits import mcnc
 from repro.geometry import Point
+from repro.mpi.sizes import estimate_size
 from repro.steiner import NetTree, build_net_tree, steinerize, tree_segments
 from repro.steiner.tree import clip_tree_to_rows
 
@@ -125,3 +129,70 @@ class TestClipToRows:
                 a, b = seg.row_span
                 rows.update(r for r in range(a + 1, b) if lo <= r <= hi)
         assert rows == set(range(1, 6))  # serial interior of rows 0..6
+
+
+# ---------------------------------------------------------------------------
+# wire form (what the multiprocess transport pickles)
+# ---------------------------------------------------------------------------
+
+#: terminals with a duplicate position; the first three make a Steiner point
+WIRE_TERMINALS = [
+    Point(0, 0), Point(10, 0), Point(5, 8), Point(5, 8), Point(12, 3), Point(2, 6),
+]
+
+
+@pytest.fixture(scope="module")
+def biomed_trees():
+    circuit = mcnc.generate("biomed", seed=1)
+    return {
+        net.id: build_net_tree(net.id, circuit.net_points(net.id))
+        for net in circuit.nets
+    }
+
+
+def _assert_wire_round_trip(tree):
+    back = pickle.loads(pickle.dumps(tree, protocol=pickle.HIGHEST_PROTOCOL))
+    assert back == tree
+    assert type(back) is NetTree
+    assert all(type(p) is Point for p in back.points)
+    assert all(type(e) is tuple and len(e) == 2 for e in back.edges)
+    return back
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 6])
+def test_tree_wire_round_trip(n):
+    tree = build_net_tree(7, WIRE_TERMINALS[:n])
+    back = _assert_wire_round_trip(tree)
+    assert back.num_terminals == n
+    if n >= 3:
+        assert len(back.points) > n  # a Steiner point
+    if n >= 4:  # the duplicate terminal hangs on a zero-length edge
+        assert any(back.points[i] == back.points[j] for i, j in back.edges)
+
+
+def test_tree_wire_round_trip_hand_built():
+    tree = NetTree(
+        net=3, points=[Point(4, 1), Point(4, 1), Point(-2, 0)],
+        edges=[(0, 1), (2, 0)], num_terminals=2,
+    )
+    _assert_wire_round_trip(tree)
+
+
+def test_tree_wire_round_trip_biomed(biomed_trees):
+    back = pickle.loads(pickle.dumps(biomed_trees, protocol=pickle.HIGHEST_PROTOCOL))
+    assert back == biomed_trees
+    assert all(
+        type(p) is Point and type(p.x) is int and type(p.row) is int
+        for t in back.values() for p in t.points
+    )
+    assert all(type(e) is tuple for t in back.values() for e in t.edges)
+
+
+def test_tree_modeled_bytes_pinned(biomed_trees):
+    """The communicator charges ``estimate_size`` of the object, never its
+    pickle: these figures predate the flat wire form and must not move."""
+    fixed = {k: build_net_tree(k, WIRE_TERMINALS[:k]) for k in range(7)}
+    shipped = pickle.loads(pickle.dumps(fixed))
+    assert estimate_size(fixed) == estimate_size(shipped) == 1928
+    shipped = pickle.loads(pickle.dumps(biomed_trees))
+    assert estimate_size(biomed_trees) == estimate_size(shipped) == 1734100
