@@ -25,7 +25,7 @@ Commands
     and lifetime hit rates).
 ``experiment``
     Run a declarative experiment spec (TOML/JSON grid of circuits x
-    algorithms x backends x nprocs x fault plans) through the
+    algorithms x nprocs x fault plans) through the
     fault-containing sweep engine; every record is stamped with its
     spec coordinates.
 ``trends``
@@ -109,11 +109,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--machine", default=SPARCCENTER_1000.name, choices=sorted(MACHINES),
         help="performance model",
-    )
-    parser.add_argument(
-        "--backend", default="auto", choices=("auto", "python", "numpy"),
-        help="congestion-core backend (auto = REPRO_BACKEND env, else numpy; "
-        "bit-identical results either way)",
     )
     parser.add_argument(
         "--transport", default="auto", choices=("auto",) + TRANSPORT_NAMES,
@@ -236,11 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--machine", default=SPARCCENTER_1000.name, choices=sorted(MACHINES)
     )
     p_prof.add_argument(
-        "--backend", default="auto", choices=("auto", "python", "numpy"),
-        help="congestion-core backend (recorded in the profile; --diff "
-        "warns when comparing across backends)",
-    )
-    p_prof.add_argument(
         "--transport", default="auto", choices=("auto",) + TRANSPORT_NAMES,
         help="SPMD transport (recorded in the profile when not the "
         "in-process default)",
@@ -253,11 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_prof.add_argument(
         "--threshold", type=float, default=0.25,
         help="regression threshold for --diff (fraction, default 0.25)",
-    )
-    p_prof.add_argument(
-        "--strict-backend", action="store_true",
-        help="make a cross-backend --diff a hard error (exit 1) instead "
-        "of a warning",
     )
     _add_engine(p_prof)
 
@@ -364,9 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_met.add_argument("--scale", type=float, default=0.1)
     p_met.add_argument("--seed", type=int, default=1)
     p_met.add_argument(
-        "--backend", default="auto", choices=("auto", "python", "numpy"),
-    )
-    p_met.add_argument(
         "--prefix", default="repro",
         help="metric-name prefix (default 'repro')",
     )
@@ -437,9 +419,7 @@ def cmd_route(args: argparse.Namespace) -> int:
         circuit=args.circuit, algorithm=args.algorithm,
         nprocs=1 if args.algorithm == "serial" else args.nprocs,
         scale=args.scale, circuit_seed=args.seed, machine=args.machine,
-        config=RouterConfig(
-            seed=args.seed, backend=args.backend, transport=args.transport
-        ),
+        config=RouterConfig(seed=args.seed, transport=args.transport),
     )
     record = execute_point(point, cache=cache)
     suffix = "  (cached)" if record.cached else ""
@@ -466,9 +446,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     cache = _cache_from(args)
     circuit = mcnc.generate(args.circuit, scale=args.scale, seed=args.seed)
     machine = MACHINES[args.machine]
-    config = RouterConfig(
-        seed=args.seed, backend=args.backend, transport=args.transport
-    )
+    config = RouterConfig(seed=args.seed, transport=args.transport)
     algorithms = ("rowwise", "netwise", "hybrid")
 
     def point(algo: str, p: int = 1) -> SweepPoint:
@@ -597,9 +575,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     from repro.parallel.driver import route_parallel
 
     circuit = mcnc.generate(args.circuit, scale=args.scale, seed=args.seed)
-    config = RouterConfig(
-        seed=args.seed, backend=args.backend, transport=args.transport
-    )
+    config = RouterConfig(seed=args.seed, transport=args.transport)
     machine = MACHINES[args.machine]
     recorder = TraceRecorder()
     tracer = Tracer()
@@ -648,9 +624,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
         circuit=args.circuit, algorithm=args.algorithm,
         nprocs=1 if args.algorithm == "serial" else args.nprocs,
         scale=args.scale, circuit_seed=args.seed, machine=args.machine,
-        config=RouterConfig(
-            seed=args.seed, backend=args.backend, transport=args.transport
-        ),
+        config=RouterConfig(seed=args.seed, transport=args.transport),
     )
     record = execute_point(point, cache=cache, compute_baseline=False)
     profile = record.run_profile()
@@ -675,10 +649,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
     if args.diff:
         with open(args.diff, "r", encoding="utf-8") as fh:
             old = RunProfile.from_dict(_json.load(fh))
-        diff = profile_diff(
-            old, profile, threshold=args.threshold,
-            strict_backend=args.strict_backend,
-        )
+        diff = profile_diff(old, profile, threshold=args.threshold)
         print()
         print(diff.render())
         if not diff.ok:
@@ -704,7 +675,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     print(degree_histogram_text(circuit))
     print()
     _, art = GlobalRouter(
-        RouterConfig(seed=args.seed, backend=args.backend, transport=args.transport)
+        RouterConfig(seed=args.seed, transport=args.transport)
     ).route_with_artifacts(circuit)
     print(report(art.spans, circuit.num_rows + 1, top=args.top))
     return 0
@@ -737,9 +708,7 @@ def _chaos_spmd(args: argparse.Namespace, plan) -> int:
         run = route_parallel(
             circuit, algorithm=args.algorithm, nprocs=args.nprocs,
             machine=machine,
-            config=RouterConfig(
-                seed=args.seed, backend=args.backend, transport=args.transport
-            ),
+            config=RouterConfig(seed=args.seed, transport=args.transport),
             compute_baseline=False, faults=plan,
         )
     except RankError as exc:
@@ -762,9 +731,7 @@ def _chaos_sweep(args: argparse.Namespace, plan) -> int:
     from repro.exec import RunCache, SweepPoint, run_sweep_salvage
     from repro.faults.plan import CacheIOFault
 
-    config = RouterConfig(
-        seed=args.seed, backend=args.backend, transport=args.transport
-    )
+    config = RouterConfig(seed=args.seed, transport=args.transport)
     points = [
         SweepPoint(
             circuit=args.circuit, algorithm="serial", scale=args.scale,
@@ -803,9 +770,7 @@ def _chaos_smoke(args: argparse.Namespace) -> int:
     from repro.parallel.driver import route_parallel
 
     machine = MACHINES[args.machine]
-    config = RouterConfig(
-        seed=args.seed, backend=args.backend, transport=args.transport
-    )
+    config = RouterConfig(seed=args.seed, transport=args.transport)
     circuit = mcnc.generate(args.circuit, scale=args.scale, seed=args.seed)
 
     def spmd(plan):
@@ -1073,7 +1038,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
 
         point = SweepPoint(
             circuit=args.circuit, scale=args.scale, circuit_seed=args.seed,
-            config=RouterConfig(seed=args.seed, backend=args.backend),
+            config=RouterConfig(seed=args.seed),
         )
         execute_point(point, compute_baseline=False)
         log.info("routed %s to populate the registry", point.describe())

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,10 +42,9 @@ from repro.geometry import Segment
 from repro.perfmodel.counter import WorkCounter, NULL_COUNTER
 
 # The primitive congestion kernels (gap computation, range bumps, exact
-# integer gathers, the strict per-cell oracle walk) moved to the backend
-# package when the congestion core grew a second, batched implementation;
-# they are re-exported here so historical imports keep working.
-from repro.grid.backends._kernels import (  # noqa: F401  (re-exports)
+# integer gathers, the strict per-cell oracle walk) live in their own
+# module; they are re-exported here so historical imports keep working.
+from repro.grid._kernels import (  # noqa: F401  (re-exports)
     _TIE_EPS,
     _bump_range,
     _defer_bump,
@@ -62,6 +61,12 @@ from repro.grid.backends._kernels import (  # noqa: F401  (re-exports)
 #: always safe; flips bump a handful of windows per pass, so the cap is
 #: rarely hit outside the initial commit (which saturates wholesale)
 _WLOG_CAP = 16
+
+# flip-record fields the incremental engine reads (see commit_segment)
+_WIDS = 22   # the (wid_vl, wid_vh, wid_hl, wid_hh) window-id tuple
+_OPS = 21    # the fused low+high work charge
+_V_LO, _V_HI = 3, 4    # clipped vertical range read in both vert windows
+_H_LO, _H_HI = 14, 15  # clipped horizontal range read in both channels
 
 
 class Orientation(enum.IntEnum):
@@ -117,14 +122,6 @@ class CoarseGrid:
     fast mode computes each part as ``count * w + w_c * range_sum`` from
     exact integer gathers and defers only real-arithmetic ties to the
     strict walk, so both modes commit identical routes.
-
-    ``backend`` selects the *batched* congestion core (see
-    :mod:`repro.grid.backends`): ``"python"`` loops the sequential fused
-    kernels, ``"numpy"`` scores whole candidate waves as array ops, and
-    ``None``/``"auto"`` resolves via the ``REPRO_BACKEND`` environment
-    variable.  Backends are bit-identical by contract — routes, buffers
-    and work charges never depend on the choice.  Strict grids always
-    run the ``python`` backend (the oracle takes no shortcuts).
     """
 
     def __init__(
@@ -135,7 +132,6 @@ class CoarseGrid:
         row_lo: int = 0,
         weights: CostWeights = CostWeights(),
         strict: bool = False,
-        backend: Optional[str] = None,
     ) -> None:
         if ncols <= 0 or nrows <= 0 or col_width <= 0:
             raise ValueError("grid dimensions must be positive")
@@ -145,10 +141,6 @@ class CoarseGrid:
         self.row_lo = row_lo
         self.weights = weights
         self.strict = strict
-        from repro.grid.backends import make_backend, resolve_backend_name
-
-        self.backend_name = "python" if strict else resolve_backend_name(backend)
-        self._backend = make_backend(self.backend_name, self)
         # Aggregate congestion maps in flat integer buffers.  Feeds are
         # column-major (column g owns the contiguous block
         # ``[g*nrows, (g+1)*nrows)``) so a vertical run is one range;
@@ -213,6 +205,17 @@ class CoarseGrid:
         # begin_bulk_commit); None outside bulk-commit sections
         self._bulk_fd: Optional[List[int]] = None
         self._bulk_hd: Optional[List[int]] = None
+        # Flip-pass bookkeeping of the incremental engine: running
+        # clean/dirty candidate tallies (deliberately *not* routed
+        # through the work counter — charges are part of the bit-identity
+        # contract, the clean/dirty split is a caching detail), their
+        # per-pass deltas, and the per-candidate window-version vectors,
+        # valid only for the pool identity remembered in _cache_idx.
+        self.flip_stats: Dict[str, int] = {"clean": 0, "dirty": 0}
+        self._pass_stats: List[Dict[str, int]] = []
+        self._marked_stats: Dict[str, int] = {"clean": 0, "dirty": 0}
+        self._seen: List[Optional[Tuple[int, int, int, int]]] = []
+        self._cache_idx: Optional[Sequence[int]] = None
 
     @property
     def feed_demand(self) -> np.ndarray:
@@ -341,15 +344,6 @@ class CoarseGrid:
             raise IndexError(f"row {row} outside grid window [{self.row_lo}, {self.row_lo + self.nrows})")
         return idx
 
-    def _ci(self, channel: int) -> int:
-        idx = channel - self.row_lo
-        if not 0 <= idx < self.nrows + 1:
-            raise IndexError(
-                f"channel {channel} outside grid window "
-                f"[{self.row_lo}, {self.row_lo + self.nrows}]"
-            )
-        return idx
-
     # -- route construction ----------------------------------------------
 
     def route_for(self, net: int, seg: Segment, orient: Orientation) -> RoutedSegment:
@@ -413,11 +407,6 @@ class CoarseGrid:
         return ch, g_lo, g_hi
 
     # -- mutation ----------------------------------------------------------
-
-    def _invalidate(self) -> None:
-        self._feed_view = None
-        self._hus_view = None
-        self._row_index = None
 
     def _bump_w(self, w: int, lo: int, hi: int) -> None:
         """Bump window ``w``'s version, logging the bumped range.
@@ -837,99 +826,6 @@ class CoarseGrid:
                 self._bump_w(nc + ci_h, h_lo, h_hi)
         return pick_high
 
-    def make_flip_rec(
-        self, low: RoutedSegment, high: RoutedSegment
-    ) -> Optional[tuple]:
-        """Precompute the flip kernel's per-diagonal invariants.
-
-        A diagonal's two candidate routes are pure geometry, so their
-        clipped ranges, flat-buffer bases, prefix-table offsets, interval
-        multiset references (stable — emptied lists are retained) and work
-        charges never change across improvement passes.  The returned
-        opaque record feeds :meth:`flip_step_rec`; ``None`` in strict mode
-        (the oracle path takes no shortcuts).
-        """
-        if self.strict:
-            return None
-        net = low.net
-        nr = self.nrows
-        nc = self.ncols
-        rl = self.row_lo
-        net_vert = self._net_vert
-        net_horiz = self._net_horiz
-
-        dummy = self._wdummy
-        wid_vl = wid_vh = dummy
-        has_v = False
-        v_lo = 1
-        v_hi = 0
-        fb_l = fb_h = efpb_l = efpb_h = 0
-        ivs_vl = ivs_vh = None
-        vl = low.vert
-        if vl is not None:
-            gl, r_lo, r_hi = vl
-            gh = high.vert[0]
-            v_lo = max(r_lo + 1, rl)
-            v_hi = min(r_hi - 1, rl + nr - 1)
-            if v_lo <= v_hi:
-                has_v = True
-                wid_vl = gl
-                wid_vh = gh
-                fb_l = gl * nr - rl
-                fb_h = gh * nr - rl
-                efpb_l = gl * (nr + 1) - rl
-                efpb_h = gh * (nr + 1) - rl
-                key = (net, gl)
-                ivs_vl = net_vert.get(key)
-                if ivs_vl is None:
-                    ivs_vl = net_vert[key] = []
-                key = (net, gh)
-                ivs_vh = net_vert.get(key)
-                if ivs_vh is None:
-                    ivs_vh = net_vert[key] = []
-
-        h_lo = h_hi = 0
-        ci_l = ci_h = -1
-        hb_l = hb_h = ehpb_l = ehpb_h = 0
-        wid_hl = wid_hh = dummy
-        ivs_hl = ivs_hh = None
-        hl = low.horiz
-        if hl is not None:
-            ch_l, h_lo, h_hi = hl
-            ch_h = high.horiz[0]
-            if rl <= ch_l <= rl + nr:
-                ci_l = ch_l - rl
-                hb_l = ci_l * nc
-                ehpb_l = ci_l * (nc + 1)
-                wid_hl = self.ncols + ci_l
-                key = (net, ch_l)
-                ivs_hl = net_horiz.get(key)
-                if ivs_hl is None:
-                    ivs_hl = net_horiz[key] = []
-            if rl <= ch_h <= rl + nr:
-                ci_h = ch_h - rl
-                hb_h = ci_h * nc
-                ehpb_h = ci_h * (nc + 1)
-                wid_hh = self.ncols + ci_h
-                key = (net, ch_h)
-                ivs_hh = net_horiz.get(key)
-                if ivs_hh is None:
-                    ivs_hh = net_horiz[key] = []
-
-        n_v = v_hi - v_lo + 1 if has_v else 0
-        n_h = h_hi - h_lo + 1
-        ops_low = n_v + (n_h if ci_l >= 0 else 0)
-        ops_high = n_v + (n_h if ci_h >= 0 else 0)
-        ops_lh = (ops_low if ops_low > 0 else 1) + (ops_high if ops_high > 0 else 1)
-        return (
-            has_v, fb_l, fb_h, v_lo, v_hi, (v_lo, v_hi), ivs_vl, ivs_vh,
-            efpb_l, efpb_h,
-            ci_l, ci_h, hb_l, hb_h, h_lo, h_hi, (h_lo, h_hi), ivs_hl, ivs_hh,
-            ehpb_l, ehpb_h,
-            ops_lh,
-            (wid_vl, wid_vh, wid_hl, wid_hh),
-        )
-
     def commit_segment(
         self, net: int, seg: Segment, want_rec: bool
     ) -> Tuple[RoutedSegment, Optional[RoutedSegment], Optional[tuple]]:
@@ -937,11 +833,16 @@ class CoarseGrid:
 
         Equivalent to ``route_for(net, seg, VERT_AT_LOW)`` + ``add_route``
         and — for an unlocked diagonal (``want_rec``) —
-        ``route_for(net, seg, VERT_AT_HIGH)`` + :meth:`make_flip_rec`, but
-        the geometry (column clamps, range clips, multiset keys) is
-        computed once instead of re-derived by each call.  Returns
+        ``route_for(net, seg, VERT_AT_HIGH)``, with the geometry (column
+        clamps, range clips, multiset keys) computed once.  Returns
         ``(route_low, route_high, rec)``; the latter two are ``None`` for
         flat or locked segments, and ``rec`` is ``None`` in strict mode.
+
+        ``rec`` is the opaque flip record of :meth:`flip_step_rec`.  A
+        diagonal's two candidate routes are pure geometry, so their
+        clipped ranges, flat-buffer bases, prefix-table offsets, interval
+        multiset references (stable — emptied lists are retained), work
+        charge and window ids never change across improvement passes.
         """
         ax, ar = seg.a
         bx, br = seg.b
@@ -1113,7 +1014,7 @@ class CoarseGrid:
     def flip_step_rec(
         self, rec: tuple, cur_is_high: bool, counter: WorkCounter = NULL_COUNTER
     ) -> bool:
-        """:meth:`flip_step` driven by a :meth:`make_flip_rec` record.
+        """:meth:`flip_step` driven by a :meth:`commit_segment` record.
 
         Same rip-up / evaluate / re-commit semantics and identical work
         charges, with every per-pass-invariant lookup (clipping, key
@@ -1264,112 +1165,117 @@ class CoarseGrid:
                 self._hus_view = None
         return pick_high
 
-    def _commit_flip(self, rec: tuple, cur_is_high: bool) -> None:
-        """Apply a flip whose decision is already known.
+    # -- improvement passes ---------------------------------------------------
 
-        The batched backend resolves orientations against a wave-start
-        snapshot and only then mutates state; this is the exact mutation
-        sequence of :meth:`flip_step_rec` when the orientation changes —
-        remove the current side's multiset entries, rip its ``+1`` out of
-        the buffers, commit the other side — so batched and sequential
-        passes leave bit-identical buffers and multisets.
+    def begin_flip_waves(self, committed, diagonal_idx: Sequence[int]) -> None:
+        """Arm the incremental engine for one pool's improvement passes.
+
+        ``committed`` is the pool of
+        :class:`~repro.twgr.coarse_step.PooledSegment`; ``diagonal_idx``
+        indexes its orientation-free diagonals.  Called once per
+        ``coarse_route`` after the initial commit; gives every flip
+        candidate a fresh cache slot.
         """
-        (has_v, fb_l, fb_h, v_lo, v_hi, vt, ivs_vl, ivs_vh,
-         _efpb_l, _efpb_h,
-         ci_l, ci_h, hb_l, hb_h, h_lo, h_hi, ht, ivs_hl, ivs_hh,
-         _ehpb_l, _ehpb_h,
-         _ops_lh, wids) = rec
-        feed = self._feed
-        hus = self._hus
-        if has_v:
-            self._bump_w(wids[0], v_lo, v_hi)
-            self._bump_w(wids[1], v_lo, v_hi)
-        if ci_l >= 0:
-            self._bump_w(wids[2], h_lo, h_hi)
-        if ci_h >= 0:
-            self._bump_w(wids[3], h_lo, h_hi)
-        if cur_is_high:
-            if has_v:
-                ivs_vh.remove(vt)
-                _bump_range(feed, fb_h, v_lo, v_hi, ivs_vh, -1)
-                _bump_range(feed, fb_l, v_lo, v_hi, ivs_vl, 1)
-                ivs_vl.append(vt)
-                self._feed_view = None
-                self._row_index = None
-            if ci_h >= 0:
-                ivs_hh.remove(ht)
-                _bump_range(hus, hb_h, h_lo, h_hi, ivs_hh, -1)
-                self._hus_view = None
-            if ci_l >= 0:
-                _bump_range(hus, hb_l, h_lo, h_hi, ivs_hl, 1)
-                ivs_hl.append(ht)
-                self._hus_view = None
-        else:
-            if has_v:
-                ivs_vl.remove(vt)
-                _bump_range(feed, fb_l, v_lo, v_hi, ivs_vl, -1)
-                _bump_range(feed, fb_h, v_lo, v_hi, ivs_vh, 1)
-                ivs_vh.append(vt)
-                self._feed_view = None
-                self._row_index = None
-            if ci_l >= 0:
-                ivs_hl.remove(ht)
-                _bump_range(hus, hb_l, h_lo, h_hi, ivs_hl, -1)
-                self._hus_view = None
-            if ci_h >= 0:
-                _bump_range(hus, hb_h, h_lo, h_hi, ivs_hh, 1)
-                ivs_hh.append(ht)
-                self._hus_view = None
-
-    # -- batched (wave-level) entry points ----------------------------------
-
-    def eval_both_batch(
-        self,
-        pairs: List[Tuple[RoutedSegment, RoutedSegment]],
-        counter: WorkCounter = NULL_COUNTER,
-    ) -> List[Tuple[float, float, bool]]:
-        """Batched :meth:`eval_both` over the active backend.
-
-        One ``(cost_low, cost_high, pick_high)`` per candidate pair, on
-        the current committed state.  Costs are the exact fused gathers
-        and near-ties defer to the strict oracle, so the returned picks
-        are bit-identical to per-pair :meth:`eval_both` calls — whichever
-        backend evaluates them.
-        """
-        return self._backend.eval_wave(pairs, counter)
-
-    def begin_flip_waves(self, committed, diagonal_idx) -> None:
-        """Let the backend precompute per-pool wave invariants (called
-        once per coarse pass sequence, after the initial commit)."""
-        self._backend.begin_flip_waves(committed, diagonal_idx)
+        self._seen = [None] * len(diagonal_idx)
+        self._cache_idx = diagonal_idx
 
     def flip_wave(
         self,
         committed,
-        diagonal_idx,
+        diagonal_idx: Sequence[int],
         order: np.ndarray,
         counter: WorkCounter = NULL_COUNTER,
     ) -> int:
         """Run one scheduling wave of coarse flip candidates.
 
-        Delegates to the active backend; every backend processes the
-        candidates in ``order`` with rip-up/evaluate/re-commit semantics
-        identical to the sequential :meth:`flip_step_rec` loop, updating
-        each pooled segment's ``orient``/``route`` and returning the
-        number of orientation changes.
+        ``order`` holds positions into ``diagonal_idx`` (one chunk of the
+        pass permutation).  Each candidate in turn gets the fused
+        rip-up / evaluate-both / re-commit kernel, updating its
+        ``orient``/``route``; returns how many orientations changed.
+
+        For the pool bound by :meth:`begin_flip_waves`, every candidate
+        remembers the version vector of the four resource windows its
+        evaluation reads, taken right after its last evaluation.  While
+        those windows are unchanged (by version, or by the range log's
+        proof that newer bumps missed the candidate's clipped ranges),
+        re-running the kernel would see byte-identical windows and must
+        re-pick the *current* orientation, so a clean candidate is a
+        guaranteed keep: the gathers are skipped and the kernel's exact
+        work charge is replayed.  Any other pool runs uncached — the
+        oracle the cache is property-tested against.
         """
-        return self._backend.flip_wave(committed, diagonal_idx, order, counter)
+        flip_rec = self.flip_step_rec
+        flip = self.flip_step
+        LOW = Orientation.VERT_AT_LOW
+        HIGH = Orientation.VERT_AT_HIGH
+        changed = 0
+        stats = self.flip_stats
+        cached = self._cache_idx is diagonal_idx
+        seen = self._seen
+        wver = self._wver
+        unchanged = self.window_unchanged
+        for k in order.tolist():
+            ps = committed[diagonal_idx[k]]
+            rec = ps.rec
+            if rec is None:
+                pick_high = flip(ps.route_low, ps.route_high, ps.route, counter)
+            elif not cached:
+                pick_high = flip_rec(rec, ps.orient is HIGH, counter)
+            else:
+                w0, w1, w2, w3 = rec[_WIDS]
+                cur = (wver[w0], wver[w1], wver[w2], wver[w3])
+                sk = seen[k]
+                if sk == cur:
+                    # clean ⟹ keep: the windows are byte-identical to the
+                    # candidate's last evaluation, which picked the
+                    # current orientation; replay the exact work charge
+                    counter.add("coarse", rec[_OPS])
+                    stats["clean"] += 1
+                    continue
+                if sk is not None:
+                    # range-aware second chance: every bump since the
+                    # cached versions may have missed this candidate's
+                    # clipped ranges, leaving the windows it reads
+                    # byte-identical over those ranges
+                    s0, s1, s2, s3 = sk
+                    c0, c1, c2, c3 = cur
+                    if (
+                        (s0 == c0 or unchanged(w0, s0, rec[_V_LO], rec[_V_HI]))
+                        and (s1 == c1 or unchanged(w1, s1, rec[_V_LO], rec[_V_HI]))
+                        and (s2 == c2 or unchanged(w2, s2, rec[_H_LO], rec[_H_HI]))
+                        and (s3 == c3 or unchanged(w3, s3, rec[_H_LO], rec[_H_HI]))
+                    ):
+                        seen[k] = cur
+                        counter.add("coarse", rec[_OPS])
+                        stats["clean"] += 1
+                        continue
+                pick_high = flip_rec(rec, ps.orient is HIGH, counter)
+                # post-evaluation versions: the state the winner was
+                # scored on (flip_step_rec bumps the windows when it flips)
+                seen[k] = (wver[w0], wver[w1], wver[w2], wver[w3])
+            stats["dirty"] += 1
+            if pick_high:
+                new_orient, new_route = HIGH, ps.route_high
+            else:
+                new_orient, new_route = LOW, ps.route_low
+            if new_orient is not ps.orient:
+                changed += 1
+            ps.orient, ps.route = new_orient, new_route
+        return changed
 
     def mark_flip_pass(self) -> None:
-        """Snapshot the backend's clean/dirty candidate tallies for the
-        coarse pass that just finished (see ``flip_pass_stats``)."""
-        self._backend.mark_pass()
+        """Close out one coarse pass: record the clean/dirty candidate
+        counts accumulated since the previous mark."""
+        s = self.flip_stats
+        last = self._marked_stats
+        self._pass_stats.append({k: s[k] - last[k] for k in ("clean", "dirty")})
+        self._marked_stats = dict(s)
 
     def flip_pass_stats(self) -> List[Dict[str, int]]:
         """Per-pass ``{"clean": n, "dirty": n}`` candidate splits recorded
         by :meth:`mark_flip_pass` — the observable behind the
         ``dirty_frac`` benchmark stat."""
-        return self._backend.pass_stats
+        return self._pass_stats
 
     # -- aggregate views ----------------------------------------------------
 
@@ -1423,9 +1329,3 @@ class CoarseGrid:
                 out.extend((r, g, net) for r in range(a, b + 1))
         out.sort()
         return out
-
-    # -- synchronization support (net-wise parallel algorithm) --------------
-
-    def snapshot_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Copies of this rank's own aggregate maps (for allreduce sync)."""
-        return self.feed_demand.copy(), self.husage.copy()

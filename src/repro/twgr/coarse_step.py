@@ -129,12 +129,9 @@ def coarse_route(
 
     # The improvement passes submit each scheduling wave — one chunk of
     # the pass permutation, i.e. everything between two sync points — to
-    # the grid's congestion backend in a single call.  The pure-Python
-    # backend runs the historical per-candidate loop; the NumPy backend
-    # scores the whole wave in fused array gathers.  Both process the
-    # candidates in wave order with identical rip-up/evaluate/re-commit
-    # semantics, so the routes (and the work charged) never depend on the
-    # backend.
+    # the grid in a single call, which runs the fused rip-up / evaluate /
+    # re-commit kernel per candidate in wave order and skips candidates
+    # its dirty-window cache proves unchanged.
     grid.begin_flip_waves(committed, diagonal_idx)
     flip_wave = grid.flip_wave
     for _ in range(passes):

@@ -228,24 +228,6 @@ def test_verbose_flag_accepted(capsys):
     assert "tracks=" in out
 
 
-def test_profile_diff_cross_backend_warn_vs_strict(capsys, tmp_path):
-    path = tmp_path / "ref.json"
-    base = ("profile", "primary1", "--scale", "0.05", "--algorithm", "serial")
-    code, _ = run(capsys, *base, "--backend", "python", "--json", str(path))
-    assert code == 0
-    # default: cross-backend diff warns but passes (bit-identity contract)
-    code, out = run(capsys, *base, "--backend", "numpy", "--diff", str(path))
-    assert code == 0
-    assert "WARNING" in out and "status: OK" in out
-    # --strict-backend: the same mismatch is a hard error
-    code, out = run(
-        capsys, *base, "--backend", "numpy", "--diff", str(path),
-        "--strict-backend",
-    )
-    assert code == 1
-    assert "ERROR" in out and "BACKEND MISMATCH" in out
-
-
 def test_profile_prints_histogram_percentiles(capsys):
     from repro.obs.metrics import REGISTRY
 
@@ -351,7 +333,7 @@ def test_experiment_command_runs_spec(capsys, tmp_path):
     spec = tmp_path / "mini.toml"
     spec.write_text(
         'schema = 1\nname = "mini"\n\n[grid]\ncircuits = ["primary1"]\n'
-        'algorithms = ["serial", "rowwise"]\nbackends = ["python"]\n'
+        'algorithms = ["serial", "rowwise"]\n'
         'nprocs = [2]\n\n[fixed]\nscale = 0.06\nseed = 1\n'
     )
     out_path = tmp_path / "outcome.json"

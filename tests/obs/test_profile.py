@@ -133,38 +133,18 @@ def test_diff_ignores_vanished_steps():
     assert profile_diff(old, new).ok
 
 
-def _backend_prof(steps, backend):
-    prof = _prof(steps)
-    prof.backend = backend
-    return prof
-
-
-def test_diff_cross_backend_warns_by_default():
-    old = _backend_prof({"step1_steiner": 1.0}, "python")
-    new = _backend_prof({"step1_steiner": 1.0}, "numpy")
-    diff = profile_diff(old, new)
-    assert diff.backend_mismatch
-    assert diff.ok  # a warning, not a failure
+def test_diff_across_retired_backend_labels_is_plain():
+    # profiles recorded while the router had selectable congestion
+    # backends carry a "backend" key; it loads, is dropped, and never
+    # affects the diff
+    legacy = _prof({"step1_steiner": 1.0}).to_dict()
+    legacy["backend"] = "numpy"
+    old = RunProfile.from_dict(legacy)
+    assert "backend" not in old.to_dict()
+    diff = profile_diff(old, _prof({"step1_steiner": 1.0}))
+    assert diff.ok
     text = diff.render()
-    assert "WARNING" in text and "ERROR" not in text
-    assert "status: OK" in text
-
-
-def test_diff_cross_backend_strict_is_hard_error():
-    old = _backend_prof({"step1_steiner": 1.0}, "python")
-    new = _backend_prof({"step1_steiner": 1.0}, "numpy")
-    diff = profile_diff(old, new, strict_backend=True)
-    assert diff.backend_mismatch
-    assert not diff.ok  # hard error even with zero step regressions
-    text = diff.render()
-    assert "ERROR" in text
-    assert "BACKEND MISMATCH" in text
-
-
-def test_diff_strict_backend_passes_when_backends_match():
-    old = _backend_prof({"step1_steiner": 1.0}, "numpy")
-    new = _backend_prof({"step1_steiner": 1.0}, "numpy")
-    assert profile_diff(old, new, strict_backend=True).ok
+    assert "backend" not in text and text.endswith("status: OK")
 
 
 def test_spec_coord_round_trips_and_stays_out_of_clean_dicts():

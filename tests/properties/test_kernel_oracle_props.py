@@ -118,65 +118,6 @@ def test_buffers_identical_across_modes(routes, ext):
     assert fast.all_crossings() == strict.all_crossings()
 
 
-# ---------------------------------------------------------------------------
-# Batched wave evaluation (numpy backend) vs the sequential backend
-# ---------------------------------------------------------------------------
-
-pair_candidates = st.lists(st.tuples(segments, segments), min_size=1, max_size=12)
-
-
-def _twin_backend_grids(routes, ext):
-    """A numpy-backend grid and a python-backend grid with the same state."""
-    batched = CoarseGrid(ncols=NCOLS, nrows=NROWS, col_width=8, backend="numpy")
-    sequential = CoarseGrid(ncols=NCOLS, nrows=NROWS, col_width=8, backend="python")
-    for r in routes:
-        batched.add_route(r)
-        sequential.add_route(r)
-    if ext is not None:
-        feed = np.array(ext[0], dtype=np.int32).reshape(NROWS, NCOLS)
-        hus = np.array(ext[1], dtype=np.int32).reshape(NROWS + 1, NCOLS)
-        batched.set_external(feed, hus)
-        sequential.set_external(feed, hus)
-    return batched, sequential
-
-
-def _as_pairs(raw_pairs):
-    """(low, high) candidate pairs sharing one net, as eval_both expects."""
-    return [
-        (low, RoutedSegment(net=low.net, vert=high.vert, horiz=high.horiz))
-        for low, high in raw_pairs
-    ]
-
-
-@settings(max_examples=150)
-@given(st.lists(segments, max_size=20), pair_candidates, externals)
-def test_batched_wave_matches_sequential_backend(routes, raw_pairs, ext):
-    """One fused-gather wave == per-pair sequential calls, bit for bit.
-
-    Both the cost pair and the orientation pick of every candidate must
-    be identical floats/bools: the batched gathers use the same operation
-    order as the scalar kernels and near-ties defer to the same strict
-    oracle walk.
-    """
-    batched, sequential = _twin_backend_grids(routes, ext)
-    pairs = _as_pairs(raw_pairs)
-    assert batched.eval_both_batch(pairs) == sequential.eval_both_batch(pairs)
-
-
-@settings(max_examples=100)
-@given(st.lists(segments, max_size=20), pair_candidates, externals)
-def test_buffers_identical_after_batched_commit(routes, raw_pairs, ext):
-    """Committing each wave's picks leaves both backends' buffers equal."""
-    batched, sequential = _twin_backend_grids(routes, ext)
-    pairs = _as_pairs(raw_pairs)
-    for grid in (batched, sequential):
-        for (low, high), (_cl, _ch, pick) in zip(pairs, grid.eval_both_batch(pairs)):
-            grid.add_route(high if pick else low)
-    assert np.array_equal(batched.feed_demand, sequential.feed_demand)
-    assert np.array_equal(batched.husage, sequential.husage)
-    assert batched.all_crossings() == sequential.all_crossings()
-
-
 pool_entries = st.lists(
     st.tuples(
         st.integers(0, 6),             # net
@@ -191,37 +132,38 @@ pool_entries = st.lists(
 
 @settings(max_examples=60, deadline=None)
 @given(pool_entries, st.integers(0, 2**31 - 1))
-def test_flip_waves_bit_identical_across_backends(entries, seed):
-    """Whole coarse improvement passes are backend-independent.
+def test_flip_waves_bit_identical_to_strict_oracle(entries, seed):
+    """Whole coarse improvement passes match the strict oracle grid.
 
-    Same pool, same rng seed: the committed orientations, the congestion
-    buffers, and the charged work units must all match — flips, memo
-    skips, and oracle deferrals included.
+    Same pool, same rng seed: the fast grid (flip records, dirty-window
+    cache, tie deferral) and the strict grid (per-cell walk on every
+    evaluation) must commit the same orientations, leave the same
+    congestion buffers, and charge the same work units.
     """
     pool = [
         (net, Segment.make(Point(ax, ar), Point(bx, br)))
         for net, ax, ar, bx, br in entries
     ]
     results = {}
-    for name in ("python", "numpy"):
-        grid = CoarseGrid(ncols=NCOLS, nrows=NROWS, col_width=8, backend=name)
+    for strict in (False, True):
+        grid = CoarseGrid(ncols=NCOLS, nrows=NROWS, col_width=8, strict=strict)
         counter = TallyCounter()
         committed = coarse_route(
             pool, grid, np.random.default_rng(seed), passes=2, counter=counter
         )
-        results[name] = (
+        results[strict] = (
             [ps.orient for ps in committed],
             grid.feed_demand.copy(),
             grid.husage.copy(),
             grid.all_crossings(),
             dict(counter.units),
         )
-    py, np_ = results["python"], results["numpy"]
-    assert py[0] == np_[0]
-    assert np.array_equal(py[1], np_[1])
-    assert np.array_equal(py[2], np_[2])
-    assert py[3] == np_[3]
-    assert py[4] == np_[4]
+    fast, oracle = results[False], results[True]
+    assert fast[0] == oracle[0]
+    assert np.array_equal(fast[1], oracle[1])
+    assert np.array_equal(fast[2], oracle[2])
+    assert fast[3] == oracle[3]
+    assert fast[4] == oracle[4]
 
 
 @settings(max_examples=100)

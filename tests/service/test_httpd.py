@@ -64,6 +64,11 @@ class TestEndpoints:
         assert payload["status"] == "bad-request"
         assert "bogus" in payload["error"]
 
+    def test_backend_key_is_http_400(self, client):
+        status, payload = client.route({"circuit": "primary1", "backend": "python"})
+        assert status == 400
+        assert "'backend'" in payload["error"]
+
     def test_non_json_body_is_http_400(self, host):
         with ServiceClient(host.host, host.port) as c:
             conn_status, _ = c.request("POST", "/route", None)

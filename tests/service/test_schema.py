@@ -56,7 +56,7 @@ class TestPointFromRequest:
             {"circuit": "no-such-benchmark"},
             {"circuit": "primary1", "scale": -1.0},
             {"circuit": "primary1", "fault_plan": "no-such-plan"},
-            {"circuit": "primary1", "backend": "fortran"},
+            {"circuit": "primary1", "backend": "python"},
         ],
     )
     def test_malformed_bodies_raise_request_error(self, body):
@@ -71,7 +71,6 @@ class TestPointFromRequest:
                 "nprocs": 2,
                 "scale": 0.2,
                 "seed": 9,
-                "backend": "python",
             }
         )
         again = point_from_request(request_from_point(point))
